@@ -42,7 +42,9 @@ alloc-gate:
 	for spec in "internal/memctrl BenchmarkChannelReadStream" \
 	            "internal/memctrl BenchmarkChannelBatchIssue" \
 	            "internal/heterodmr BenchmarkHeteroDMRReadMode" \
-	            "internal/rs BenchmarkRSDetect"; do \
+	            "internal/rs BenchmarkRSDetect" \
+	            "internal/cache BenchmarkCacheFill" \
+	            "internal/cache BenchmarkCacheAccess"; do \
 		set -- $$spec; \
 		out=$$($(GO) test -run '^$$' -bench "$$2"'$$' -benchmem "./$$1") || { echo "$$out"; exit 1; }; \
 		echo "$$out"; \
@@ -58,15 +60,18 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzAddrMapBijective -fuzztime $(FUZZTIME) ./internal/memctrl
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
-# steady-state micro-benchmarks (which must stay at 0 allocs/op) and the
-# full-suite BenchmarkRunAllSeq. Reference numbers live in
-# BENCH_hotpath.json (allocation pass) and BENCH_eventskip.json
-# (event-driven scheduling pass).
+# steady-state micro-benchmarks, cache levels included (which must stay
+# at 0 allocs/op), one node cell per hierarchy, and the full-suite
+# BenchmarkRunAll pair. Reference numbers live in BENCH_hotpath.json
+# (allocation pass) and BENCH_eventskip.json (event-driven scheduling
+# pass).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkChannelReadStream -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelBatchIssue$$' -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench BenchmarkHeteroDMRReadMode -benchmem ./internal/heterodmr
 	$(GO) test -run '^$$' -bench BenchmarkRSDetect -benchmem ./internal/rs
+	$(GO) test -run '^$$' -bench 'BenchmarkCache(Fill|Access)$$' -benchmem ./internal/cache
+	$(GO) test -run '^$$' -bench 'BenchmarkNodeCell$$' -benchmem ./internal/node
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchmem -benchtime 1x .
 
 # bench-compare pits each optimized path against its in-tree legacy twin

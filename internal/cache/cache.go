@@ -38,6 +38,24 @@ type Config struct {
 	LatencyPS  int64 // access latency charged on hits at this level
 }
 
+// StateBytes is the memory a cache of this geometry holds in line state:
+// tags, LRU ticks, flags and the two dirty-index arrays.
+func (cfg Config) StateBytes() int {
+	return cfg.SizeBytes / cfg.BlockBytes * (8 + 8 + 1 + 4 + 4)
+}
+
+// Stats are a level's event counters.
+type Stats struct {
+	Hits, Misses   uint64
+	Writebacks     uint64
+	PrefetchFills  uint64
+	PrefetchUseful uint64
+	Cleans         uint64
+	Fills          uint64 // lines allocated (demand + prefetch)
+	Evictions      uint64 // valid lines displaced by Fill (dirty or clean)
+	Invalidations  uint64 // valid lines dropped by Invalidate
+}
+
 // Cache is one level of set-associative write-back cache.
 // It is not safe for concurrent use.
 type Cache struct {
@@ -45,6 +63,14 @@ type Cache struct {
 	nsets   int
 	ways    int
 	setMask int // nsets-1 when nsets is a power of two, else -1
+	// hashShift is bits.Len(nsets), the index hash's fold distance.
+	hashShift uint
+	// blockShift is log2(BlockBytes), so Block shifts instead of
+	// dividing on every probe.
+	blockShift uint
+	// wayBits is the width of a way index, so lastUse<<wayBits|way packs
+	// a way's recency and position into one comparable key.
+	wayBits uint
 	tick    uint64
 
 	// Flat per-line state, indexed by position p = set*ways + way.
@@ -61,18 +87,12 @@ type Cache struct {
 	dirtyList []int32
 	dirtyPos  []int32
 
-	// Stats.
-	Hits, Misses   uint64
-	Writebacks     uint64
-	PrefetchFills  uint64
-	PrefetchUseful uint64
-	Cleans         uint64
-	Fills          uint64 // lines allocated (demand + prefetch)
-	Evictions      uint64 // valid lines displaced by Fill (dirty or clean)
-	Invalidations  uint64 // valid lines dropped by Invalidate
+	Stats
 
 	// Scratch reused across CleanDirtyMatching calls; the slice that call
-	// returns aliases cleanOut and is valid until the next call.
+	// returns aliases cleanOut and is valid until the next call. An
+	// arena-backed cache carves both from its arena on first use.
+	arena      *Arena
 	cleanCands cleanCands
 	cleanOut   []uint64
 }
@@ -117,9 +137,10 @@ func (p *pool[T]) reset() {
 // have. The zero value is ready to use. An Arena must not be Reset while
 // any cache built from it is still in use.
 type Arena struct {
-	u64 pool[uint64]
-	u8  pool[uint8]
-	i32 pool[int32]
+	u64   pool[uint64]
+	u8    pool[uint8]
+	i32   pool[int32]
+	cands pool[cleanCand]
 }
 
 // Reset zeroes the windows handed out since the last Reset, readying the
@@ -128,6 +149,7 @@ func (a *Arena) Reset() {
 	a.u64.reset()
 	a.u8.reset()
 	a.i32.reset()
+	a.cands.reset()
 }
 
 // New builds a cache level. It panics on invalid geometry so
@@ -138,8 +160,9 @@ func New(cfg Config) *Cache { return NewIn(nil, cfg) }
 // like New). Arena-backed caches cost no steady-state allocation when the
 // arena is recycled across hierarchies.
 func NewIn(arena *Arena, cfg Config) *Cache {
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes < 2 {
-		// BlockBytes >= 2 keeps block addresses below invalidTag.
+	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes < 2 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
+		// BlockBytes >= 2 keeps block addresses below invalidTag; a
+		// power of two lets Block shift.
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
 	blocks := cfg.SizeBytes / cfg.BlockBytes
@@ -150,21 +173,23 @@ func NewIn(arena *Arena, cfg Config) *Cache {
 	if nsets == 0 {
 		panic("cache: zero sets")
 	}
-	c := &Cache{cfg: cfg, nsets: nsets, ways: cfg.Ways}
+	c := &Cache{cfg: cfg, nsets: nsets, ways: cfg.Ways, arena: arena}
+	c.wayBits = uint(bits.Len(uint(cfg.Ways - 1)))
+	// The dirty list can never exceed one entry per line, so a
+	// full-capacity backing makes append allocation-free for the cache's
+	// whole lifetime.
 	if arena != nil {
 		c.tags = arena.u64.alloc(blocks)
 		c.lastUse = arena.u64.alloc(blocks)
 		c.flags = arena.u8.alloc(blocks)
 		c.dirtyPos = arena.i32.alloc(blocks)
-		// The dirty list can never exceed one entry per line, so a
-		// full-capacity window makes append allocation-free for the
-		// cache's whole lifetime.
 		c.dirtyList = arena.i32.alloc(blocks)[:0]
 	} else {
 		c.tags = make([]uint64, blocks)
 		c.lastUse = make([]uint64, blocks)
 		c.flags = make([]uint8, blocks)
 		c.dirtyPos = make([]int32, blocks)
+		c.dirtyList = make([]int32, 0, blocks)
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -176,7 +201,26 @@ func NewIn(arena *Arena, cfg Config) *Cache {
 	if nsets&(nsets-1) == 0 {
 		c.setMask = nsets - 1
 	}
+	c.hashShift = uint(bits.Len(uint(nsets)))
+	c.blockShift = uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
 	return c
+}
+
+// CopyFrom overwrites c's lines, dirty index, LRU clock and statistics
+// with src's, so c behaves exactly as src would under the same later
+// operations. Only scratch buffers stay c's own. It panics if the two
+// caches' geometries differ.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.nsets != src.nsets || c.ways != src.ways || c.cfg.BlockBytes != src.cfg.BlockBytes {
+		panic(fmt.Sprintf("cache: CopyFrom between geometries %+v and %+v", src.cfg, c.cfg))
+	}
+	copy(c.tags, src.tags)
+	copy(c.lastUse, src.lastUse)
+	copy(c.flags, src.flags)
+	copy(c.dirtyPos, src.dirtyPos)
+	c.dirtyList = append(c.dirtyList[:0], src.dirtyList...)
+	c.tick = src.tick
+	c.Stats = src.Stats
 }
 
 // markDirty records position p (set*ways+way) as dirty.
@@ -205,7 +249,7 @@ func (c *Cache) index(block uint64) int {
 	// of two (the paper's 28MB/22MB L3 sizes are not), so index by modulo
 	// — with a mask fast path when they are (identical result, and the
 	// L1/L2 levels on the access-critical path are always powers of two).
-	h := block ^ (block >> uint(bits.Len(uint(c.nsets))))
+	h := block ^ (block >> c.hashShift)
 	if c.setMask >= 0 {
 		return int(h) & c.setMask
 	}
@@ -213,7 +257,7 @@ func (c *Cache) index(block uint64) int {
 }
 
 // Block converts an address to its block address.
-func (c *Cache) Block(addr uint64) uint64 { return addr / uint64(c.cfg.BlockBytes) }
+func (c *Cache) Block(addr uint64) uint64 { return addr >> (c.blockShift & 63) }
 
 // Lookup probes the cache without changing replacement or dirty state.
 func (c *Cache) Lookup(addr uint64) bool {
@@ -264,22 +308,9 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVic
 	block := c.Block(addr)
 	base := c.index(block) * c.ways
 	tags := c.tags[base : base+c.ways]
-	// One pass over the set: bail out if the block is already present
-	// (e.g. a racing prefetch) while tracking the victim for the miss
-	// case — the first invalid way, else the least-recently-used one.
-	// The incumbent's validity/recency live in locals so the loop does
-	// not re-index per comparison (this is the hottest loop in the cache
-	// hierarchy).
-	vi := -1
-	viValid := false
-	var viLast uint64
+	// The block may already be present (e.g. a racing prefetch): refresh
+	// it instead of allocating a second copy.
 	for i, t := range tags {
-		if t == invalidTag {
-			if vi < 0 || viValid {
-				vi, viValid = i, false
-			}
-			continue
-		}
 		if t == block {
 			p := base + i
 			if write && c.flags[p]&flagDirty == 0 {
@@ -289,12 +320,16 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVic
 			c.lastUse[p] = c.tick
 			return 0, false
 		}
-		if vi < 0 || (viValid && c.lastUse[base+i] < viLast) {
-			vi, viValid, viLast = i, true, c.lastUse[base+i]
-		}
 	}
+	// The victim is the first invalid way, else the least-recently-used
+	// one. An invalid way always holds lastUse 0 and a valid way a unique
+	// tick >= 1, so the minimum of lastUse<<wayBits|way over the set is
+	// exactly that way — one branch-free pass over a dense window (this is
+	// the hottest loop in the cache hierarchy).
+	vi := lruWay(c.lastUse[base:base+c.ways], c.wayBits)
 	vp := base + vi
 	vTag := tags[vi]
+	viValid := vTag != invalidTag
 	vDirty := c.flags[vp]&flagDirty != 0
 	tags[vi] = block
 	c.lastUse[vp] = c.tick
@@ -325,6 +360,25 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) (victim uint64, dirtyVic
 		return vTag * uint64(c.cfg.BlockBytes), true
 	}
 	return 0, false
+}
+
+// lruWay returns the way holding the smallest lastUse<<wayBits|way key.
+// Two interleaved minima halve the chain of dependent compares. It is its
+// own function because here the compiler lowers each min to a conditional
+// move; written inline in Fill's body, the loop compiled to
+// data-dependent branches.
+func lruWay(lastUse []uint64, wayBits uint) int {
+	wb := wayBits & 63
+	k0, k1 := ^uint64(0), ^uint64(0)
+	i := 0
+	for ; i+1 < len(lastUse); i += 2 {
+		k0 = min(k0, lastUse[i]<<wb|uint64(i))
+		k1 = min(k1, lastUse[i+1]<<wb|uint64(i+1))
+	}
+	if i < len(lastUse) {
+		k0 = min(k0, lastUse[i]<<wb|uint64(i))
+	}
+	return int(min(k0, k1) & (1<<wb - 1))
 }
 
 // Invalidate drops a block if present, returning whether it was dirty.
@@ -416,6 +470,12 @@ func (c *Cache) CleanDirtyMatching(max int, match func(addr uint64) bool) []uint
 	if max <= 0 {
 		return nil
 	}
+	if c.cleanCands == nil && c.arena != nil {
+		// Neither slice can outgrow the line count, so full-capacity
+		// windows never reallocate while the cache lives.
+		c.cleanCands = c.arena.cands.alloc(len(c.tags))[:0]
+		c.cleanOut = c.arena.u64.alloc(len(c.tags))[:0]
+	}
 	// Enumerate candidates from the dirty index instead of scanning every
 	// line. The index's order is arbitrary (swap-with-last removal), but
 	// the selection below keys on the strictly unique lastUse ticks, so
@@ -494,6 +554,14 @@ func (c *Cache) CheckConservation(source string) []obs.Violation {
 	}
 	ck.Check(indexOK, "dirty-index-entries-valid",
 		"a dirty-index entry points at a clean, invalid, or mis-linked line")
+	// Fill's victim scan relies on invalid ways holding lastUse 0.
+	stale := 0
+	for p, t := range c.tags {
+		if t == invalidTag && c.lastUse[p] != 0 {
+			stale++
+		}
+	}
+	ck.CheckEq(int64(stale), 0, "invalid-ways-lastuse-zero")
 	return ck.Violations()
 }
 

@@ -13,8 +13,9 @@ func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 0, Ways: 4, BlockBytes: 64},
 		{SizeBytes: 8192, Ways: 0, BlockBytes: 64},
-		{SizeBytes: 8192, Ways: 3, BlockBytes: 64}, // 128 blocks / 3 ways
-		{SizeBytes: 32, Ways: 1, BlockBytes: 64},   // zero sets
+		{SizeBytes: 8192, Ways: 3, BlockBytes: 64},    // 128 blocks / 3 ways
+		{SizeBytes: 32, Ways: 1, BlockBytes: 64},      // zero sets
+		{SizeBytes: 48 * 64, Ways: 4, BlockBytes: 48}, // block not a power of two
 	}
 	for i, cfg := range bad {
 		func() {

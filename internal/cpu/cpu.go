@@ -79,10 +79,12 @@ type Core struct {
 	nextL1   *cache.NextLinePrefetcher
 	strideL2 *cache.StridePrefetcher
 
-	mlp         int
+	mlp int
+	// outstanding holds the in-flight non-dependent misses oldest first;
+	// it never exceeds mlp entries, so its backing is allocated once.
 	outstanding []*memctrl.Request
-	nlIssued    map[uint64]bool // next-line predictions awaiting usefulness feedback
-	predBuf     []uint64        // prefetch-prediction scratch, reused every miss
+	nlIssued    blockSet // next-line predictions awaiting usefulness feedback
+	predBuf     []uint64 // prefetch-prediction scratch, reused every miss
 
 	t     int64 // core virtual time, ps
 	stats Stats
@@ -101,23 +103,40 @@ type Config struct {
 // New builds a core. It panics on missing pieces (construction-time
 // programmer errors).
 func New(cfg Config) *Core {
+	c := new(Core)
+	c.Init(cfg)
+	return c
+}
+
+// Init rebuilds c as New(cfg) would, keeping only the backing of its
+// scratch buffers, so a caller running many simulations back to back can
+// reuse one Core per slot without regrowing them.
+func (c *Core) Init(cfg Config) {
 	if cfg.L1 == nil || cfg.L2 == nil || cfg.L3 == nil || cfg.Mem == nil {
 		panic("cpu: incomplete core config")
 	}
 	if cfg.MLP <= 0 {
 		panic("cpu: non-positive MLP")
 	}
-	return &Core{
-		ID:       cfg.ID,
-		l1:       cfg.L1,
-		l2:       cfg.L2,
-		l3:       cfg.L3,
-		mem:      cfg.Mem,
-		strideL1: cache.NewStridePrefetcher(2),
-		nextL1:   cache.NewNextLinePrefetcher(256, 0.25),
-		strideL2: cache.NewStridePrefetcher(4),
-		mlp:      cfg.MLP,
-		nlIssued: make(map[uint64]bool),
+	out, nl, pred := c.outstanding[:cap(c.outstanding)], c.nlIssued, c.predBuf[:0]
+	clear(out) // drop the last run's handles
+	if cap(out) < cfg.MLP {
+		out = make([]*memctrl.Request, cfg.MLP)
+	}
+	nl.reset()
+	*c = Core{
+		ID:          cfg.ID,
+		l1:          cfg.L1,
+		l2:          cfg.L2,
+		l3:          cfg.L3,
+		mem:         cfg.Mem,
+		strideL1:    cache.NewStridePrefetcher(2),
+		nextL1:      cache.NewNextLinePrefetcher(256, 0.25),
+		strideL2:    cache.NewStridePrefetcher(4),
+		mlp:         cfg.MLP,
+		outstanding: out[:0],
+		nlIssued:    nl,
+		predBuf:     pred,
 	}
 }
 
@@ -167,9 +186,7 @@ func (c *Core) Finish() {
 // creditNextLine feeds usefulness back to the next-line prefetcher when a
 // demand touches a block it predicted.
 func (c *Core) creditNextLine(addr uint64) {
-	block := addr / 64
-	if c.nlIssued[block] {
-		delete(c.nlIssued, block)
+	if c.nlIssued.remove(addr / 64) {
 		c.nextL1.CreditUseful()
 	}
 }
@@ -219,17 +236,27 @@ func (c *Core) read(addr uint64, stream int, dependent bool) {
 		}
 		return
 	}
+	c.track(req)
+}
+
+// track adds a non-dependent miss to the window; a full window retires
+// its oldest miss first-in first-out, stalling the core until it returns.
+func (c *Core) track(req *memctrl.Request) {
 	c.outstanding = append(c.outstanding, req)
-	if len(c.outstanding) >= c.mlp {
-		oldest := c.outstanding[0]
-		c.outstanding = c.outstanding[1:]
-		done := c.mem.WaitFor(oldest)
-		c.mem.Release(oldest)
-		c.stats.RetiredMemReads++
-		if done > c.t {
-			c.stats.MemStallPS += done - c.t
-			c.t = done
-		}
+	if len(c.outstanding) < c.mlp {
+		return
+	}
+	oldest := c.outstanding[0]
+	// Shift down rather than reslice forward, so the backing never
+	// migrates and append never reallocates.
+	n := copy(c.outstanding, c.outstanding[1:])
+	c.outstanding = c.outstanding[:n]
+	done := c.mem.WaitFor(oldest)
+	c.mem.Release(oldest)
+	c.stats.RetiredMemReads++
+	if done > c.t {
+		c.stats.MemStallPS += done - c.t
+		c.t = done
 	}
 }
 
@@ -267,18 +294,7 @@ func (c *Core) write(addr uint64, stream int) {
 	c.fill(c.l3, addr, true)
 	c.fill(c.l2, addr, true)
 	c.fill(c.l1, addr, true)
-	c.outstanding = append(c.outstanding, req)
-	if len(c.outstanding) >= c.mlp {
-		oldest := c.outstanding[0]
-		c.outstanding = c.outstanding[1:]
-		done := c.mem.WaitFor(oldest)
-		c.mem.Release(oldest)
-		c.stats.RetiredMemReads++
-		if done > c.t {
-			c.stats.MemStallPS += done - c.t
-			c.t = done
-		}
-	}
+	c.track(req)
 	_ = stream
 }
 
@@ -331,9 +347,7 @@ func (c *Core) prefetchL1(addr uint64, stream int) {
 		}
 		c.fill(c.l1, pa, false)
 		if pb == block+1 && c.nextL1.Enabled() {
-			if len(c.nlIssued) < 4096 {
-				c.nlIssued[pb] = true
-			}
+			c.nlIssued.add(pb)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/dramspec"
+	"repro/internal/memctrl"
 	"repro/internal/obs"
 )
 
@@ -44,5 +46,23 @@ func TestViolationsSortedAndStable(t *testing.T) {
 	vs := s.Violations()
 	if len(vs) != 2 || vs[0].Source != "a" || vs[1].Source != "b" {
 		t.Errorf("violations not sorted: %v", vs)
+	}
+}
+
+// TestDesignObsNamesDistinct: designs that share a replication mode get
+// distinct obs scopes, so concurrent instrumented cells never write the
+// same trace recorder (Hetero-DMR at two margins, Fig 5's settings).
+func TestDesignObsNamesDistinct(t *testing.T) {
+	s := New(Options{Quick: true})
+	ds := append(s.fig12Matrix(),
+		design{repl: memctrl.ReplicationNone, setting: dramspec.SettingLatencyMargin, marginMTs: 800},
+		design{repl: memctrl.ReplicationNone, setting: dramspec.SettingFrequencyMargin, marginMTs: 800},
+		design{repl: memctrl.ReplicationNone, setting: dramspec.SettingFreqLatMargin, marginMTs: 800})
+	seen := map[string]design{}
+	for _, d := range ds {
+		if prev, ok := seen[d.obsName()]; ok {
+			t.Errorf("designs %+v and %+v share obs name %q", prev, d, d.obsName())
+		}
+		seen[d.obsName()] = d
 	}
 }

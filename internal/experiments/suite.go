@@ -349,6 +349,21 @@ type design struct {
 	marginMTs dramspec.DataRate
 }
 
+// obsName names the design in obs scopes: its replication mode, qualified
+// by the operating point and margin when it sets them. Designs that share
+// a replication mode (Hetero-DMR at two margins, Fig 5's settings) must
+// not share a scope — concurrent cells would write one trace recorder.
+func (d design) obsName() string {
+	name := d.repl.String()
+	if d.setting != dramspec.SettingSpec {
+		name += " (" + d.setting.String() + ")"
+	}
+	if d.marginMTs != 0 {
+		name += fmt.Sprintf("@%dMT/s", int(d.marginMTs))
+	}
+	return name
+}
+
 type runKey struct {
 	hier  string
 	d     design
@@ -408,6 +423,9 @@ func (s *Suite) runSeed(h node.Hierarchy, d design, prof workload.Profile, seed 
 		cfg := s.nodeConfig(h, d, seed)
 		cfg.Check = s.opt.Check
 		cfg.Obs = s.opt.Obs
+		if cfg.Check || cfg.Obs != nil {
+			cfg.ObsScope = fmt.Sprintf("%s/%s/%s/seed%d", h.Name, d.obsName(), prof.Name, seed)
+		}
 		res := node.MustRun(cfg, prof)
 		s.addViolations(res.Violations)
 		return res
@@ -424,13 +442,16 @@ type runReq struct {
 }
 
 // matrix expands hierarchies × designs × benchmarks × configured seeds
-// into the run requests a driver is about to consume.
+// into the run requests a driver is about to consume. Designs vary
+// fastest: cells that differ only in design share their prefilled LLC
+// (node's prefill memo), so listing them side by side keeps each key hot
+// while its cells run, however many keys the whole matrix spans.
 func (s *Suite) matrix(hs []node.Hierarchy, ds []design, profs []workload.Profile) []runReq {
 	reqs := make([]runReq, 0, len(hs)*len(ds)*len(profs)*s.opt.Seeds)
 	for _, h := range hs {
-		for _, d := range ds {
-			for _, p := range profs {
-				for i := 0; i < s.opt.Seeds; i++ {
+		for _, p := range profs {
+			for i := 0; i < s.opt.Seeds; i++ {
+				for _, d := range ds {
 					reqs = append(reqs, runReq{h: h, d: d, prof: p, seed: s.opt.Seed + uint64(i)*131})
 				}
 			}

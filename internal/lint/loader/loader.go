@@ -214,21 +214,64 @@ func (l *Loader) loadDir(dir string, explicit bool) ([]*Package, error) {
 		return nil, err
 	}
 	var pkgs []*Package
+	xl := l
 	if len(bp.GoFiles) > 0 || len(bp.TestGoFiles) > 0 {
 		p, err := l.check(dir, path, bp.Name, append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...))
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, p)
+		if len(bp.TestGoFiles) > 0 {
+			xl = l.forTestsOf(path, p.Types)
+		}
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		p, err := l.check(dir, path+"_test", bp.Name+"_test", bp.XTestGoFiles)
+		p, err := xl.check(dir, path+"_test", bp.Name+"_test", bp.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
+}
+
+// forTestsOf returns the loader an external test package of path is
+// checked with. As under go test, that package — and every module
+// package it imports that itself depends on path — sees path together
+// with its in-package test files (the export_test.go idiom), so those
+// dependents are re-checked in a loader of their own and the test
+// variant never leaks into other units. Cached packages that do not
+// depend on path are shared.
+func (l *Loader) forTestsOf(path string, variant *types.Package) *Loader {
+	f := &Loader{
+		fset:     l.fset,
+		modRoot:  l.modRoot,
+		modPath:  l.modPath,
+		std:      l.std,
+		imports:  map[string]*types.Package{path: variant},
+		checking: map[string]bool{},
+	}
+	dependent := map[*types.Package]bool{}
+	var dependsOn func(p *types.Package) bool
+	dependsOn = func(p *types.Package) bool {
+		if d, ok := dependent[p]; ok {
+			return d
+		}
+		dependent[p] = false // cycle guard; imports are acyclic
+		for _, imp := range p.Imports() {
+			if imp.Path() == path || dependsOn(imp) {
+				dependent[p] = true
+				return true
+			}
+		}
+		return false
+	}
+	for ip, p := range l.imports {
+		if ip != path && !dependsOn(p) {
+			f.imports[ip] = p
+		}
+	}
+	return f
 }
 
 // check parses and type-checks one unit.

@@ -230,3 +230,31 @@ func allowedRangeLine(t *testing.T, p *Package) int {
 	t.Fatal("fixture has no allow comment")
 	return 0
 }
+
+// TestExternalTestSeesExportTest: an external test package is checked
+// against the package under test with its in-package test files (the
+// export_test.go idiom), and so is every module package it imports that
+// depends on it — even one already cached against the plain package.
+func TestExternalTestSeesExportTest(t *testing.T) {
+	l, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Import("repro/internal/lint/loader/testdata/xtestdep"); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("testdata/xtest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 || pkgs[1].Types.Name() != "xtest_test" {
+		t.Fatalf("got %d units, want xtest and xtest_test", len(pkgs))
+	}
+	// The plain package stays what other code compiles against.
+	if _, err := l.Load("testdata/xtestdep"); err != nil {
+		t.Fatal(err)
+	}
+	if l.imports["repro/internal/lint/loader/testdata/xtest"].Scope().Lookup("Count") != nil {
+		t.Error("test-only hook leaked into the shared import cache")
+	}
+}

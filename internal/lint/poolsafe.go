@@ -76,24 +76,49 @@ func isPooledHandleType(t types.Type) bool {
 	return next && prev
 }
 
-// containsPooledHandle reports whether t structurally contains a pooled
-// handle type without following named element types (so a slice of
-// *cpu.Core, whose struct internally holds requests it releases itself,
-// does not count — only direct containment does).
+// containsPooledHandle reports whether t holds a pooled handle by value:
+// directly, or through slices, arrays, maps, channels and the fields of
+// struct values, named or not. It does not follow pointers to other
+// types (so a slice of *cpu.Core, whose struct internally holds requests
+// it releases itself, does not count). The one sanctioned holder is
+// memctrl.RequestPool: a freelist of idle requests, which is what
+// recycled scratch may keep across runs.
 func containsPooledHandle(t types.Type) bool {
+	return holdsPooledHandle(t, map[*types.Named]bool{})
+}
+
+func holdsPooledHandle(t types.Type, seen map[*types.Named]bool) bool {
 	switch t := t.(type) {
 	case *types.Pointer:
 		return isPooledHandleType(t)
 	case *types.Slice:
-		return containsPooledHandle(t.Elem())
+		return holdsPooledHandle(t.Elem(), seen)
 	case *types.Array:
-		return containsPooledHandle(t.Elem())
+		return holdsPooledHandle(t.Elem(), seen)
 	case *types.Map:
-		return containsPooledHandle(t.Key()) || containsPooledHandle(t.Elem())
+		return holdsPooledHandle(t.Key(), seen) || holdsPooledHandle(t.Elem(), seen)
 	case *types.Chan:
-		return containsPooledHandle(t.Elem())
+		return holdsPooledHandle(t.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if holdsPooledHandle(t.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	case *types.Named:
+		if seen[t] || isRequestPool(t) {
+			return false
+		}
+		seen[t] = true
+		return holdsPooledHandle(t.Underlying(), seen)
 	}
 	return false
+}
+
+// isRequestPool reports whether t is memctrl.RequestPool.
+func isRequestPool(t *types.Named) bool {
+	obj := t.Obj()
+	return obj.Name() == "RequestPool" && obj.Pkg() != nil && obj.Pkg().Name() == "memctrl"
 }
 
 // isChainLinkSelector reports whether e reads the next/prev link of a

@@ -4,7 +4,11 @@
 // scheduler; arena-backed objects may not escape the arena's Reset.
 package poolsafe
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/memctrl"
+)
 
 // Req is the pooled handle shape: a named struct with intrusive
 // next/prev links of its own type, exactly like memctrl.Request.
@@ -98,11 +102,29 @@ var okCounter int64
 //lint:allow poolsafe nil sentinel terminator, never a live pooled handle
 var allowedSentinel *Req
 
+// reqBatch wraps handles in a struct; wrapping does not hide them.
+type reqBatch struct {
+	reqs []*Req
+}
+
+// RequestPool shares memctrl.RequestPool's name but not its package, so
+// it earns no exemption.
+type RequestPool struct {
+	free []*Req
+}
+
 // scratch is recycled through a sync.Pool (the runScratch pattern), so
 // any pooled handle parked in it survives across runs.
 type scratch struct {
-	ids  []uint64
-	held *Req // want `sync.Pool scratch type scratch holds pooled request handles`
+	ids     []uint64
+	held    *Req             // want `sync.Pool scratch type scratch holds pooled request handles`
+	batch   reqBatch         // want `sync.Pool scratch type scratch holds pooled request handles`
+	batches []reqBatch       // want `sync.Pool scratch type scratch holds pooled request handles`
+	anon    struct{ r *Req } // want `sync.Pool scratch type scratch holds pooled request handles`
+	local   RequestPool      // want `sync.Pool scratch type scratch holds pooled request handles`
+	// A memctrl.RequestPool is a freelist of idle requests, the one
+	// holder recycled scratch may keep.
+	reqs memctrl.RequestPool
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}

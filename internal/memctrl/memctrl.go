@@ -220,6 +220,15 @@ type Request struct {
 	gen      uint32 // bumped on every recycle (use-after-release detection in tests)
 }
 
+// RequestPool is a freelist of recycled requests. Every channel owns one;
+// channels driven from a single goroutine may share another instead (see
+// ShareRequests), and a shared pool may outlive its channels, so a caller
+// running many simulations back to back keeps request objects across
+// them.
+type RequestPool struct {
+	free []*Request
+}
+
 // Stats aggregates what the evaluation figures need.
 type Stats struct {
 	Reads, Writes    uint64 // DRAM accesses actually performed
@@ -259,12 +268,14 @@ type Channel struct {
 	// instead of a queue scan (SubmitRead runs it on every read).
 	wqBlocks map[uint64]uint32
 
-	// freeReqs is the request freelist: completed-and-released requests
-	// are zeroed and reused by the next Submit, so the steady-state loop
-	// allocates nothing. noPool disables recycling (test hook for the
+	// reqs is the request freelist: completed-and-released requests are
+	// zeroed and reused by the next Submit, so the steady-state loop
+	// allocates nothing. It points at ownReqs unless ShareRequests hands
+	// the channel another. noPool disables recycling (test hook for the
 	// pooled-vs-unpooled equivalence check).
-	freeReqs []*Request
-	noPool   bool
+	reqs    *RequestPool
+	ownReqs RequestPool
+	noPool  bool
 
 	// noBatch disables row-hit burst batching in serveRead (test hook
 	// for the batched-vs-unbatched equivalence check; scanparity keeps
@@ -390,6 +401,7 @@ func NewChannel(cfg Config) (*Channel, error) {
 		copyBuf:    make([]*dram.Rank, 0, cfg.Ranks),
 		wqBlocks:   make(map[uint64]uint32, cfg.WriteQueueCap),
 	}
+	c.reqs = &c.ownReqs
 	for i := 0; i < cfg.Ranks; i++ {
 		r := dram.NewRank(cfg.BanksPerRank, cfg.Spec.Timing, cfg.Spec.Rate.ClockPS())
 		if cfg.SRExitPS > 0 {
@@ -410,6 +422,27 @@ func NewChannel(cfg Config) (*Channel, error) {
 	}
 	c.reindexTiming()
 	return c, nil
+}
+
+// ShareRequests makes the channel draw and recycle requests through p
+// instead of its own freelist. Call it before the first Submit; every
+// channel sharing p must run on one goroutine. Which pooled object serves
+// a request never changes results: newRequest zeroes it.
+func (c *Channel) ShareRequests(p *RequestPool) { c.reqs = p }
+
+// ReclaimRequests recycles every queued request no caller can reach —
+// writes, and reads already Released — into the channel's pool. Call it
+// when the simulation is over and the channel will not be used again: a
+// shared pool then keeps the requests a run ends with queued, instead of
+// only those it retired.
+func (c *Channel) ReclaimRequests() {
+	for _, q := range []*reqRing{&c.readQ, &c.writeQ} {
+		for i := q.head; i != q.tail; i++ {
+			if r := q.at(i); r != nil && (r.IsWrite || r.released) {
+				c.recycle(r)
+			}
+		}
+	}
 }
 
 // MustNewChannel is NewChannel that panics on error.

@@ -165,7 +165,7 @@ func TestRequestPoolStress(t *testing.T) {
 
 			pooled := MustNewChannel(cfg)
 			poolStats := poolTraffic(t, pooled)
-			if len(pooled.freeReqs) == 0 {
+			if len(pooled.reqs.free) == 0 {
 				t.Error("freelist empty after a release-everything run: pooling never engaged")
 			}
 

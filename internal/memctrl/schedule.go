@@ -90,10 +90,10 @@ func (c *Channel) SubmitRead(addr uint64, at int64) *Request {
 // next one) and initializes it for addr.
 func (c *Channel) newRequest(addr uint64, isWrite bool, at int64) *Request {
 	var req *Request
-	if n := len(c.freeReqs); n > 0 {
-		req = c.freeReqs[n-1]
-		c.freeReqs[n-1] = nil
-		c.freeReqs = c.freeReqs[:n-1]
+	if free := c.reqs.free; len(free) > 0 {
+		req = free[len(free)-1]
+		free[len(free)-1] = nil
+		c.reqs.free = free[:len(free)-1]
 		*req = Request{gen: req.gen}
 	} else {
 		req = &Request{}
@@ -115,7 +115,7 @@ func (c *Channel) recycle(req *Request) {
 		req.pooled = true
 	}
 	req.gen++
-	c.freeReqs = append(c.freeReqs, req)
+	c.reqs.free = append(c.reqs.free, req)
 }
 
 // Release hands a read request handle back to the channel for recycling.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/memctrl"
 	"repro/internal/obs"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // Hierarchy is one of the paper's two memory hierarchies (Table III).
@@ -230,13 +229,16 @@ func (cc *channelCleaner) CleanDirty(max int) []uint64 {
 // runScratch is the per-run working state Run reuses across simulations.
 // The experiment engine's prewarm cache executes thousands of node runs
 // back to back; without reuse, rebuilding the cache hierarchies' line
-// arrays and the scheduler's bookkeeping slices for every run dominated
-// the engine's allocation profile. Everything here is either fully
-// overwritten (the object slices) or explicitly zeroed (the arena, the
-// bool slices) before reuse, so a pooled run is state-identical to a
+// arrays, the cores' miss windows and prefetch filters, the channels'
+// request objects and the scheduler's bookkeeping slices for every run
+// dominated the engine's allocation profile. Everything here is either
+// fully overwritten (the object slices), explicitly reinitialized (the
+// cores, via cpu.Core.Init) or zeroed (the arena, the bool slices, each
+// pooled request) before reuse, so a pooled run is state-identical to a
 // fresh one and simulation output is unchanged.
 type runScratch struct {
 	arena    cache.Arena
+	reqs     memctrl.RequestPool
 	chans    []*memctrl.Channel
 	cores    []*cpu.Core
 	streams  []*workload.Stream
@@ -321,14 +323,18 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 	prof.WarmSetBytes /= scale
 
 	scr := scratchPool.Get().(*runScratch)
+	rt := &router{chans: scr.chans[:0]}
 	defer func() {
 		// Nothing built below outlives Run (Result holds only copied
-		// stats), so the arena and bookkeeping slices recycle safely.
+		// stats), so the arena, the requests still queued and the
+		// bookkeeping slices recycle safely.
+		for _, chn := range rt.chans {
+			chn.ReclaimRequests()
+		}
 		scr.arena.Reset()
 		scratchPool.Put(scr)
 	}()
 
-	rt := &router{chans: scr.chans[:0]}
 	for i := 0; i < cfg.H.Channels; i++ {
 		ch := memctrl.DefaultConfig(cfg.Replication, cfg.Spec, cfg.Fast)
 		ch.ScanScheduler = cfg.ScanScheduler
@@ -355,6 +361,7 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		chn.ShareRequests(&scr.reqs)
 		rt.chans = append(rt.chans, chn)
 	}
 	scr.chans = rt.chans
@@ -399,7 +406,10 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 			LatencyPS:  12 * cpu.ClockPS,
 		})
 		l1s[i], l2s[i] = l1, l2
-		cores[i] = cpu.New(cpu.Config{ID: i, L1: l1, L2: l2, L3: l3, Mem: rt, MLP: prof.MLP})
+		if cores[i] == nil {
+			cores[i] = new(cpu.Core)
+		}
+		cores[i].Init(cpu.Config{ID: i, L1: l1, L2: l2, L3: l3, Mem: rt, MLP: prof.MLP})
 		// Each core runs one MPI rank of the benchmark: same profile,
 		// distinct address-space slice via the seed.
 		streams[i] = prof.NewStream(cfg.Seed+uint64(i)*104729,
@@ -408,8 +418,10 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 
 	// Prefill the shared LLC to steady-state occupancy so dirty evictions
 	// reach DRAM during the measured region (a cold LLC of this size would
-	// otherwise absorb every writeback).
-	prefillL3(l3, prof.FootprintBytes, cfg.Seed)
+	// otherwise absorb every writeback). The prefilled state depends only
+	// on the LLC geometry, the footprint and the seed, so it is built once
+	// per such key and copied into every cell that shares it.
+	prefills.restore(l3, prof.FootprintBytes, cfg.Seed)
 
 	// Interleave cores in virtual-time order; snapshot statistics when the
 	// last core finishes its warmup. The next core is selected by a binary
@@ -546,17 +558,6 @@ func checkWarmup(scope string, res Result) []obs.Violation {
 			i, s.ComputePS, s.MemStallPS, s.CommPS)
 	}
 	return ck.Violations()
-}
-
-// prefillL3 seeds the LLC with footprint-resident blocks, a quarter of
-// them dirty, approximating steady-state occupancy.
-func prefillL3(l3 *cache.Cache, footprint uint64, seed uint64) {
-	rng := xrand.New(seed ^ 0xF111F111)
-	blocks := l3.Config().SizeBytes / l3.Config().BlockBytes
-	for i := 0; i < 2*blocks; i++ {
-		addr := rng.Uint64n(footprint) &^ 63
-		l3.Fill(addr, rng.Bool(0.25), false)
-	}
 }
 
 // gather sums channel statistics and activate counts.

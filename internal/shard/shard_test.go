@@ -276,15 +276,41 @@ func (f *flakyProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	f.inner.ServeHTTP(rw, r)
 }
 
+// gatedHandler holds every request until the pool has counted a worker
+// death, or until a deadline passes so a broken test fails instead of
+// hanging.
+type gatedHandler struct {
+	inner  http.Handler
+	deaths *obs.Counter
+}
+
+func (g gatedHandler) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	for deadline := time.Now().Add(10 * time.Second); g.deaths.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	g.inner.ServeHTTP(rw, r)
+}
+
 // TestPoolWorkerDeathMidRun kills one of two workers after two served
 // units: the pool must mark it dead after DeadAfter consecutive
 // failures, requeue its claimed units, and still merge the exact
-// sequential bytes.
+// sequential bytes. The healthy worker answers nothing until the pool
+// has declared the dying one dead; otherwise it could finish every unit
+// before the dying worker failed twice in a row.
 func TestPoolWorkerDeathMidRun(t *testing.T) {
 	units := mcUnits()
 	want := seqPayloads(t, units)
 	dir := t.TempDir()
-	healthy, _ := newTestWorker(t, dir)
+	reg := obs.NewRegistry()
+	wcache, err := runcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := httptest.NewServer(gatedHandler{
+		inner:  NewWorker(testVersion, wcache, obs.NewRegistry()).Handler(),
+		deaths: reg.Counter("shard/worker_deaths"),
+	})
+	defer healthy.Close()
 
 	cache, err := runcache.Open(dir)
 	if err != nil {
@@ -294,7 +320,6 @@ func TestPoolWorkerDeathMidRun(t *testing.T) {
 	dying := httptest.NewServer(&flakyProxy{inner: NewWorker(testVersion, nil, dyingReg).Handler(), healthy: 2})
 	defer dying.Close()
 
-	reg := obs.NewRegistry()
 	p := NewPool(PoolOptions{
 		Workers:   []string{dying.URL, healthy.URL},
 		Cache:     cache,
