@@ -1,10 +1,12 @@
-// Command heterodmr is the umbrella CLI for the reproduction: it runs any
-// table or figure of the paper by id, or all of them in paper order.
+// Command heterodmr is the reproduction's CLI: it runs any table, figure
+// or ablation by id, a comma-separated list of them in the order given, or
+// every table and figure in paper order.
 //
 // Usage:
 //
 //	heterodmr -list
 //	heterodmr -exp fig12 [-seed 1] [-quick]
+//	heterodmr -exp fig12,fig13,fig14,fig15,config -quick
 //	heterodmr -all [-markdown]
 //	heterodmr -all -check [-metrics out.json] [-trace out.jsonl]
 //	heterodmr -worker -worker-addr 127.0.0.1:0 -cache-dir /shared/cache
@@ -15,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cliobs"
 	"repro/internal/experiments"
@@ -27,7 +30,7 @@ func main() {
 
 func run() int {
 	var (
-		exp       = flag.String("exp", "", "experiment id (see -list)")
+		exp       = flag.String("exp", "", "comma-separated experiment ids, run in order (see -list)")
 		all       = flag.Bool("all", false, "run every experiment in paper order")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablation studies")
 		list      = flag.Bool("list", false, "list experiment ids")
@@ -57,6 +60,21 @@ func run() int {
 	if sh.Worker {
 		return sh.ServeWorker("heterodmr", nil)
 	}
+	var entries []experiments.Entry
+	switch {
+	case *all: // RunAll below runs the registry concurrently
+	case *ablations:
+		entries = experiments.Ablations()
+	case *exp != "":
+		var err error
+		if entries, err = resolve(*exp); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+	default:
+		flag.Usage()
+		return 2
+	}
 	if code := ob.StartProfile("heterodmr"); code != 0 {
 		return code
 	}
@@ -81,33 +99,35 @@ func run() int {
 			fmt.Println(t.String())
 		}
 	}
-	switch {
-	case *all:
+	if *all {
 		for _, t := range s.RunAll() {
 			render(t)
 		}
-	case *ablations:
-		for _, e := range experiments.Ablations() {
-			render(e.Run(s))
-		}
-	case *exp != "":
-		e, err := experiments.ByID(*exp)
-		if err != nil {
-			if e2, err2 := experiments.AblationByID(*exp); err2 == nil {
-				render(e2.Run(s))
-				return ob.Finish("heterodmr", reg, s.Violations())
-			}
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
+	}
+	for _, e := range entries {
 		render(e.Run(s))
-	default:
-		flag.Usage()
-		return 2
 	}
 	if pool != nil || cache != nil {
 		fmt.Fprintf(os.Stderr, "heterodmr: computed %d of %d node simulations\n",
 			s.ComputedRuns(), s.CachedRuns())
 	}
 	return ob.Finish("heterodmr", reg, s.Violations())
+}
+
+// resolve looks up every id of a comma-separated -exp list, so an
+// unknown id fails the run before anything executes.
+func resolve(list string) ([]experiments.Entry, error) {
+	ids := strings.Split(list, ",")
+	entries := make([]experiments.Entry, len(ids))
+	for i, id := range ids {
+		if id == "" {
+			return nil, fmt.Errorf("heterodmr: empty experiment id in -exp %q", list)
+		}
+		e, err := experiments.ByID(id)
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = e
+	}
+	return entries, nil
 }

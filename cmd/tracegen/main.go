@@ -1,5 +1,5 @@
-// Command tracegen generates a Grizzly-like JSON job trace for the hpcsim
-// cluster simulator (see internal/hpc's trace format), or summarizes an
+// Command tracegen generates a Grizzly-like JSON job trace for the
+// internal/hpc cluster simulator (see its trace format), or summarizes an
 // existing trace file. Real Slurm accounting dumps converted to the same
 // JSON feed the Fig 17 simulation directly.
 //

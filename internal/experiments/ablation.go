@@ -29,16 +29,6 @@ func Ablations() []Entry {
 	}
 }
 
-// AblationByID resolves an ablation id.
-func AblationByID(id string) (Entry, error) {
-	for _, e := range Ablations() {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	return Entry{}, fmt.Errorf("experiments: unknown ablation %q", id)
-}
-
 // AblationSelection quantifies §III-D1's margin-aware selection at the
 // system level: the fraction of nodes reaching each margin group directly
 // sets how many jobs run at the 0.8 GT/s speedup.

@@ -10,12 +10,6 @@ func TestAblationRegistry(t *testing.T) {
 	if len(abls) != 6 {
 		t.Fatalf("ablation count %d", len(abls))
 	}
-	if _, err := AblationByID("abl-ecc"); err != nil {
-		t.Error(err)
-	}
-	if _, err := AblationByID("abl-nope"); err == nil {
-		t.Error("unknown ablation accepted")
-	}
 }
 
 func TestAblationSelection(t *testing.T) {

@@ -37,9 +37,9 @@ func Registry() []Entry {
 	}
 }
 
-// ByID returns the registry entry with the given id.
+// ByID returns the registry or ablation entry with the given id.
 func ByID(id string) (Entry, error) {
-	for _, e := range Registry() {
+	for _, e := range append(Registry(), Ablations()...) {
 		if e.ID == id {
 			return e, nil
 		}

@@ -28,11 +28,15 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	if _, err := ByID("fig12"); err != nil {
-		t.Error(err)
+	for _, id := range []string{"fig12", "abl-ecc"} {
+		if e, err := ByID(id); err != nil || e.ID != id {
+			t.Errorf("ByID(%q) = %q, %v", id, e.ID, err)
+		}
 	}
-	if _, err := ByID("fig99"); err == nil {
-		t.Error("unknown id accepted")
+	for _, id := range []string{"fig99", "abl-nope"} {
+		if _, err := ByID(id); err == nil {
+			t.Errorf("unknown id %q accepted", id)
+		}
 	}
 }
 

@@ -78,12 +78,6 @@ type Config struct {
 	ScaleShift uint
 	Seed       uint64
 
-	// ScanScheduler runs every channel on the legacy poll-per-step
-	// scheduling paths instead of the event-driven indexes (see
-	// memctrl.Config.ScanScheduler). Differential tests use it to pin
-	// that the two produce identical results at full-node scale.
-	ScanScheduler bool
-
 	// Check enables the conservation self-checks: after the measured
 	// region the channels are drained and every component's accounting
 	// invariants are verified; failures land in Result.Violations. The
@@ -300,6 +294,15 @@ func objScratch[T any](s []T, n int) []T {
 // Run executes one benchmark on one machine+design and returns the
 // measurements. It returns an error on invalid configuration.
 func Run(cfg Config, prof workload.Profile) (Result, error) {
+	return run(cfg, prof, false)
+}
+
+// run is Run with the scheduler choice exposed: scan runs every channel
+// on the legacy poll-per-step paths (memctrl.Config.ScanScheduler) so
+// differential tests can pin them to the event-driven default at
+// full-node scale. It stays out of Config because every cache key
+// hashes Config, and the two paths must give the same Result.
+func run(cfg Config, prof workload.Profile, scan bool) (Result, error) {
 	if cfg.H.Cores <= 0 || cfg.H.Channels <= 0 {
 		return Result{}, fmt.Errorf("node: invalid hierarchy %+v", cfg.H)
 	}
@@ -337,7 +340,7 @@ func Run(cfg Config, prof workload.Profile) (Result, error) {
 
 	for i := 0; i < cfg.H.Channels; i++ {
 		ch := memctrl.DefaultConfig(cfg.Replication, cfg.Spec, cfg.Fast)
-		ch.ScanScheduler = cfg.ScanScheduler
+		ch.ScanScheduler = scan
 		ch.CopyErrorRate = cfg.CopyErrorRate
 		ch.Seed = cfg.Seed + uint64(i)*7919
 		// The writeback cache and Hetero-DMR's write batch are sized

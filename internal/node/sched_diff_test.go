@@ -13,7 +13,7 @@ import (
 // hierarchy, prefetchers, channel router, proactive cleaning, and the
 // memory controllers — must produce deeply equal Results whether the
 // controllers run event-driven (default) or on the legacy poll-per-step
-// scan paths (Config.ScanScheduler). Covers both hierarchies (1 and 4
+// scan paths (run's scan parameter). Covers both hierarchies (1 and 4
 // channels) and all replication designs, so every index — clock jump,
 // refresh deadline, close heap, row-hit chains, write-projection floor —
 // is exercised against its scan twin.
@@ -42,8 +42,10 @@ func TestEventSchedulerEquivalentAtNodeScale(t *testing.T) {
 
 			event := MustRun(cfg, prof)
 
-			cfg.ScanScheduler = true
-			scan := MustRun(cfg, prof)
+			scan, err := run(cfg, prof, true)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if !reflect.DeepEqual(event, scan) {
 				t.Errorf("event-driven result diverges from scan-based:\nevent: %+v\nscan:  %+v",

@@ -34,10 +34,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,35 +204,39 @@ func writeSeq(b *strings.Builder, v reflect.Value) {
 	b.WriteString("]")
 }
 
-// CodeVersion derives the "code version" component of every cache key
-// from the build's embedded VCS metadata: SchemaVersion plus the commit
-// revision, with a "+dirty" marker for locally modified builds. Binaries
-// built without VCS stamping (go test, detached builds) fall back to
-// SchemaVersion alone — callers that need stronger isolation (two
-// different uncommitted builds sharing one cache directory) should pass
-// an explicit version instead.
-func CodeVersion() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return SchemaVersion
+// CodeVersion is the "code version" component of every cache key:
+// SchemaVersion plus the SHA-256 of the running executable, so an entry
+// is served only to the build that wrote it, whatever the VCS state (go
+// run, go test and uncommitted edits included). Spawned shard workers
+// run the same executable and so share the coordinator's key. The
+// digest is computed once per process; if the executable cannot be
+// read the version is unique to the process, trading every cache hit
+// for never serving a stale one.
+func CodeVersion() string { return codeVersion() }
+
+var codeVersion = sync.OnceValue(func() string {
+	if d, err := executableDigest(); err == nil {
+		return SchemaVersion + "+" + d
 	}
-	var rev, modified string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
+	return fmt.Sprintf("%s+pid%d-%d", SchemaVersion, os.Getpid(), time.Now().UnixNano())
+})
+
+// executableDigest hashes the file the running process was started from.
+func executableDigest() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
 	}
-	if rev == "" {
-		return SchemaVersion
+	f, err := os.Open(exe)
+	if err != nil {
+		return "", err
 	}
-	v := SchemaVersion + "+" + rev
-	if modified == "true" {
-		v += "+dirty"
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
 	}
-	return v
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Stats counts cache traffic since Open. All fields are cumulative.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -222,5 +223,46 @@ func TestCodeVersionNonEmpty(t *testing.T) {
 	v := CodeVersion()
 	if !strings.HasPrefix(v, SchemaVersion) {
 		t.Errorf("CodeVersion %q does not start with schema version", v)
+	}
+}
+
+// TestCodeVersionTracksBuild: two builds that differ only in a linked-in
+// string get different code versions, so a cache never serves one build's
+// results to the other; one build keeps its version across runs.
+func TestCodeVersionTracksBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two binaries")
+	}
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go not on PATH")
+	}
+	dir := t.TempDir()
+	build := func(stamp string) string {
+		bin := filepath.Join(dir, stamp)
+		cmd := exec.Command(gobin, "build", "-o", bin,
+			"-ldflags", "-X main.stamp="+stamp, "./testdata/printversion")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go build: %v\n%s", err, out)
+		}
+		return bin
+	}
+	version := func(bin string) string {
+		out, err := exec.Command(bin).Output()
+		if err != nil {
+			t.Fatalf("%s: %v", bin, err)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	a, b := build("one"), build("two")
+	va := version(a)
+	if !strings.HasPrefix(va, SchemaVersion+"+") {
+		t.Errorf("version %q does not start with %s+", va, SchemaVersion)
+	}
+	if again := version(a); again != va {
+		t.Errorf("one build, two versions: %q then %q", va, again)
+	}
+	if vb := version(b); vb == va {
+		t.Errorf("different builds share version %q", va)
 	}
 }

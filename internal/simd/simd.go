@@ -108,19 +108,11 @@ func (sp JobSpec) normalize() (JobSpec, error) {
 		sp.Experiments = nil
 	}
 	for _, id := range sp.Experiments {
-		if _, err := resolveEntry(id); err != nil {
+		if _, err := experiments.ByID(id); err != nil {
 			return sp, err
 		}
 	}
 	return sp, nil
-}
-
-// resolveEntry finds a registry or ablation experiment by id.
-func resolveEntry(id string) (experiments.Entry, error) {
-	if e, err := experiments.ByID(id); err == nil {
-		return e, nil
-	}
-	return experiments.AblationByID(id)
 }
 
 // entries expands the (normalized) spec into the drivers to run.
@@ -130,7 +122,7 @@ func (sp JobSpec) entries() []experiments.Entry {
 	}
 	out := make([]experiments.Entry, 0, len(sp.Experiments))
 	for _, id := range sp.Experiments {
-		e, err := resolveEntry(id)
+		e, err := experiments.ByID(id)
 		if err != nil {
 			panic(err) // normalize validated every id
 		}
