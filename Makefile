@@ -61,10 +61,10 @@ fuzz:
 
 # bench runs the hot-path benchmark suite with allocation reporting: the
 # steady-state micro-benchmarks, cache levels included (which must stay
-# at 0 allocs/op), one node cell per hierarchy, and the full-suite
-# BenchmarkRunAll pair. Reference numbers live in BENCH_hotpath.json
-# (allocation pass) and BENCH_eventskip.json (event-driven scheduling
-# pass).
+# at 0 allocs/op), one node cell per hierarchy, the cluster scheduler
+# at quick and Grizzly scale, and the full-suite BenchmarkRunAll pair.
+# Reference numbers live in BENCH_hotpath.json (allocation pass) and
+# BENCH_eventskip.json (event-driven scheduling pass).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkChannelReadStream -benchmem ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelBatchIssue$$' -benchmem ./internal/memctrl
@@ -72,6 +72,7 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkRSDetect -benchmem ./internal/rs
 	$(GO) test -run '^$$' -bench 'BenchmarkCache(Fill|Access)$$' -benchmem ./internal/cache
 	$(GO) test -run '^$$' -bench 'BenchmarkNodeCell$$' -benchmem ./internal/node
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulate$$' -benchmem ./internal/hpc
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchmem -benchtime 1x .
 
 # bench-compare pits each optimized path against its in-tree legacy twin

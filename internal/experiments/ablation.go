@@ -33,13 +33,12 @@ func Ablations() []Entry {
 // system level: the fraction of nodes reaching each margin group directly
 // sets how many jobs run at the 0.8 GT/s speedup.
 func (s *Suite) AblationSelection() *report.Table {
-	cfg := s.monteCarloConfig()
 	t := report.New("Ablation — what margin-aware selection buys",
 		"selection", "nodes >=0.8GT/s", "nodes >=0.6GT/s", "expected node speedup")
 	h := node.Hierarchy1()
 	at800, at600 := s.HeteroDMRWeightedSpeedup(h)
 	for _, sel := range []montecarlo.Selection{montecarlo.MarginAware, montecarlo.MarginUnaware} {
-		g := s.monteCarlo(shard.LevelNode, cfg, sel).Groups()
+		g := s.monteCarlo(shard.LevelNode, sel).Groups()
 		// Expected speedup across the node population for <50%-util jobs.
 		exp := g.At800*at800 + g.At600*at600 + g.Below*1
 		t.AddRow(sel.String(), fmtPct(g.At800), fmtPct(g.At800+g.At600), fmt.Sprintf("%.3f", exp))

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"repro/internal/montecarlo"
 	"repro/internal/shard"
 )
@@ -66,12 +68,42 @@ func (s *Suite) prewarmSharded(reqs []runReq) {
 // (100k trials / (16·1024) ≈ 7 units per level/policy call).
 const mcUnitShards = 16
 
-// monteCarlo runs one Monte-Carlo experiment, fanning shard-aligned
-// trial ranges out to the worker fleet when sharding is on. Each range
-// is positionally seeded (montecarlo.*Range), committed into its slot
-// of the margins slice, and bit-identical to the in-process loop, so
-// Groups/FractionAtLeast render the same bytes either way.
-func (s *Suite) monteCarlo(level string, cfg montecarlo.Config, sel montecarlo.Selection) montecarlo.Result {
+// mcKey names one Monte-Carlo distribution of a Suite.
+type mcKey struct {
+	level string
+	sel   montecarlo.Selection
+}
+
+// mcEntry is one memoized distribution: the first caller computes it
+// and concurrent callers for the same key block on once until it is
+// ready. The shared Result is read-only.
+type mcEntry struct {
+	once sync.Once
+	res  montecarlo.Result
+}
+
+// monteCarlo returns the suite's Monte-Carlo distribution for one level
+// and selection policy, computing it once per Suite: Fig 11, Fig 17's
+// node groups and the selection ablation share the same runs, in
+// process or sharded.
+func (s *Suite) monteCarlo(level string, sel montecarlo.Selection) montecarlo.Result {
+	v, _ := s.mc.LoadOrStore(mcKey{level, sel}, new(mcEntry))
+	e := v.(*mcEntry)
+	e.once.Do(func() {
+		s.mcRuns.Add(1)
+		e.res = s.computeMonteCarlo(level, sel)
+	})
+	return e.res
+}
+
+// computeMonteCarlo runs one Monte-Carlo experiment, fanning
+// shard-aligned trial ranges out to the worker fleet when sharding is
+// on. Each range is positionally seeded (montecarlo.*Range), committed
+// into its slot of the margins slice, and bit-identical to the
+// in-process loop, so Groups/FractionAtLeast render the same bytes
+// either way.
+func (s *Suite) computeMonteCarlo(level string, sel montecarlo.Selection) montecarlo.Result {
+	cfg := s.monteCarloConfig()
 	if !s.sharded() {
 		if level == shard.LevelChannel {
 			return montecarlo.ChannelLevel(cfg, sel)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/margin"
 	"repro/internal/memctrl"
 	"repro/internal/memuse"
+	"repro/internal/montecarlo"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -78,9 +79,10 @@ type Options struct {
 }
 
 // Suite carries shared state across experiment drivers: the generated
-// DIMM population, the Fig 1 job fractions, and a cache of node-level
-// simulation results so figures 12-16 share runs. A Suite is safe for
-// concurrent use by the drivers RunAll fans out.
+// DIMM population, the Fig 1 job fractions, each Monte-Carlo margin
+// distribution, and a cache of node-level simulation results so figures
+// 12-16 share runs. A Suite is safe for concurrent use by the drivers
+// RunAll fans out.
 type Suite struct {
 	opt Options
 
@@ -89,6 +91,11 @@ type Suite struct {
 
 	fracOnce sync.Once
 	frac     memuse.Fractions
+
+	mcCfgOnce sync.Once
+	mcCfg     montecarlo.Config
+	mc        sync.Map     // mcKey -> *mcEntry
+	mcRuns    atomic.Int64 // Monte-Carlo distributions computed
 
 	runs runCache
 

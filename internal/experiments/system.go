@@ -12,28 +12,31 @@ import (
 	"repro/internal/shard"
 )
 
-// monteCarloConfig builds the suite's Monte-Carlo configuration: paper
-// scale (or Quick's reduced trials) on the shared worker pool.
+// monteCarloConfig returns the suite's Monte-Carlo configuration: paper
+// scale (or Quick's reduced trials) on the shared worker pool. It is
+// built once per Suite; building it generates the margin population.
 func (s *Suite) monteCarloConfig() montecarlo.Config {
-	cfg := montecarlo.DefaultConfig(s.opt.Seed)
-	cfg.Workers = s.opt.Workers
-	if s.opt.Quick {
-		cfg.Trials = 20_000
-	}
-	return cfg
+	s.mcCfgOnce.Do(func() {
+		cfg := montecarlo.DefaultConfig(s.opt.Seed)
+		cfg.Workers = s.opt.Workers
+		if s.opt.Quick {
+			cfg.Trials = 20_000
+		}
+		s.mcCfg = cfg
+	})
+	return s.mcCfg
 }
 
 // Fig11 reproduces Fig 11: Monte-Carlo distributions of channel-level and
 // node-level memory frequency margins under margin-aware and
 // margin-unaware selection.
 func (s *Suite) Fig11() *report.Table {
-	cfg := s.monteCarloConfig()
 	t := report.New("Fig 11 — channel/node margin distributions",
 		"level", "selection", ">=0.8GT/s", ">=0.6GT/s", "paper >=0.8", "paper >=0.6")
-	ca := s.monteCarlo(shard.LevelChannel, cfg, montecarlo.MarginAware)
-	cu := s.monteCarlo(shard.LevelChannel, cfg, montecarlo.MarginUnaware)
-	na := s.monteCarlo(shard.LevelNode, cfg, montecarlo.MarginAware)
-	nu := s.monteCarlo(shard.LevelNode, cfg, montecarlo.MarginUnaware)
+	ca := s.monteCarlo(shard.LevelChannel, montecarlo.MarginAware)
+	cu := s.monteCarlo(shard.LevelChannel, montecarlo.MarginUnaware)
+	na := s.monteCarlo(shard.LevelNode, montecarlo.MarginAware)
+	nu := s.monteCarlo(shard.LevelNode, montecarlo.MarginUnaware)
 	t.AddRow("channel", "margin-aware", fmtPct(ca.FractionAtLeast(800)), fmtPct(ca.FractionAtLeast(600)), "96%", "-")
 	t.AddRow("channel", "margin-unaware", fmtPct(cu.FractionAtLeast(800)), fmtPct(cu.FractionAtLeast(600)), "80%", "-")
 	t.AddRow("node", "margin-aware", fmtPct(na.FractionAtLeast(800)), fmtPct(na.FractionAtLeast(600)), "62%", "98%")
@@ -44,7 +47,7 @@ func (s *Suite) Fig11() *report.Table {
 // NodeMarginGroups returns the margin-aware node groups Fig 17's cluster
 // uses (§III-D3's 62% / 36% / 2% example).
 func (s *Suite) NodeMarginGroups() montecarlo.NodeGroups {
-	return s.monteCarlo(shard.LevelNode, s.monteCarloConfig(), montecarlo.MarginAware).Groups()
+	return s.monteCarlo(shard.LevelNode, montecarlo.MarginAware).Groups()
 }
 
 // fig17Scale returns the trace scale (full Grizzly, or reduced in Quick

@@ -2,6 +2,7 @@ package hpc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/memuse"
@@ -212,27 +213,95 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestShadowComputation(t *testing.T) {
-	// Three running jobs ending at t=10,20,30 with 2 nodes each; 1 free
-	// node now; head needs 4: the head can start when the second job ends
-	// (1+2+2 >= 4) with 1 node spare.
-	run := runHeap{
-		&running{endS: 30, job: &Job{Nodes: 2}},
-		&running{endS: 10, job: &Job{Nodes: 2}},
-		&running{endS: 20, job: &Job{Nodes: 2}},
+// runningSet builds an end-time-ordered running set by inserting the
+// given runners in order, as start does.
+func runningSet(rs ...running) []running {
+	var run []running
+	for _, r := range rs {
+		run = insertRunning(run, r)
 	}
-	var sbuf []*running
-	shadowT, extra := shadow(run, &sbuf, 1, 4)
+	return run
+}
+
+func TestShadowComputation(t *testing.T) {
+	// Three running jobs ending at t=10,20,30 with 2 nodes each, started
+	// out of end order; 1 free node now; head needs 4: the head can start
+	// when the second job ends (1+2+2 >= 4) with 1 node spare.
+	run := runningSet(
+		running{endS: 30, job: &Job{Nodes: 2}},
+		running{endS: 10, job: &Job{Nodes: 2}},
+		running{endS: 20, job: &Job{Nodes: 2}},
+	)
+	for i, want := range []float64{10, 20, 30} {
+		if run[i].endS != want {
+			t.Fatalf("running set slot %d ends at %v, want %v", i, run[i].endS, want)
+		}
+	}
+	shadowT, extra := shadow(run, 1, 4)
 	if shadowT != 20 || extra != 1 {
 		t.Errorf("shadow = (%v, %v), want (20, 1)", shadowT, extra)
 	}
 	// Already fits: shadow is immediate.
-	if st, _ := shadow(run, &sbuf, 4, 4); st != 0 {
+	if st, _ := shadow(run, 4, 4); st != 0 {
 		t.Errorf("shadow with enough free = %v, want 0", st)
 	}
 	// Can never fit: far future.
-	if st, _ := shadow(run, &sbuf, 0, 100); st < 1e17 {
+	if st, _ := shadow(run, 0, 100); st < 1e17 {
 		t.Errorf("unsatisfiable shadow = %v", st)
+	}
+}
+
+// TestTiesFollowStartOrder pins the tie rule for runners that end at
+// the same instant: they stay in start order in the running set, so the
+// backfill shadow counts the earlier-started one first and it completes
+// first.
+func TestTiesFollowStartOrder(t *testing.T) {
+	a := running{endS: 10, job: &Job{ID: 1, Nodes: 2}}
+	b := running{endS: 10, job: &Job{ID: 2, Nodes: 3}}
+	later := running{endS: 20, job: &Job{ID: 3, Nodes: 1}}
+	for _, tc := range []struct {
+		name  string
+		order []running
+		ids   []int
+		extra int
+	}{
+		{"a-first", []running{later, a, b}, []int{1, 2, 3}, 0},
+		{"b-first", []running{b, later, a}, []int{2, 1, 3}, 1},
+	} {
+		run := runningSet(tc.order...)
+		for i, id := range tc.ids {
+			if run[i].job.ID != id {
+				t.Fatalf("%s: slot %d holds job %d, want %d", tc.name, i, run[i].job.ID, id)
+			}
+		}
+		// Head needs 2 of 0 free: the first runner at t=10 satisfies it.
+		if st, extra := shadow(run, 0, 2); st != 10 || extra != tc.extra {
+			t.Errorf("%s: shadow = (%v, %v), want (10, %d)", tc.name, st, extra, tc.extra)
+		}
+	}
+
+	// Through the scheduler: two one-node jobs start together with equal
+	// runtimes, the first on the 800 MT/s node and the second on the
+	// margin-0 node. A queued job takes the node the first completion
+	// frees, so it must land on the 800 MT/s node.
+	tr := &Trace{TotalNodes: 2, PeriodS: 1e6, Jobs: []Job{
+		{ID: 1, SubmitS: 0, Nodes: 1, BaseS: 100, Bucket: memuse.BucketOver50},
+		{ID: 2, SubmitS: 0, Nodes: 1, BaseS: 100, Bucket: memuse.BucketOver50},
+		{ID: 3, SubmitS: 1, Nodes: 1, BaseS: 50, Bucket: memuse.BucketUnder25},
+	}}
+	res, vs := SimulateObserved(tr, NewCluster(map[int]int{800: 1, 0: 1}), PolicyMarginAware,
+		HeteroDMRModel(1.21, 1.17), 1, nil, "")
+	if len(vs) != 0 {
+		t.Fatalf("violations: %v", vs)
+	}
+	exec3 := tr.Jobs[2].BaseS / 1.21 // a variable: a constant expression would not round like the scheduler
+	want := []JobMetrics{
+		{JobID: 1, WaitS: 0, ExecS: 100, TurnaroundS: 100, MinMargin: 800},
+		{JobID: 2, WaitS: 0, ExecS: 100, TurnaroundS: 100, MinMargin: 0},
+		{JobID: 3, WaitS: 99, ExecS: exec3, TurnaroundS: 99 + exec3, MinMargin: 800},
+	}
+	if !reflect.DeepEqual(res.Jobs, want) {
+		t.Errorf("jobs = %+v, want %+v", res.Jobs, want)
 	}
 }
 

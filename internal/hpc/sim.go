@@ -1,7 +1,6 @@
 package hpc
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -14,13 +13,19 @@ import (
 // within a group are interchangeable.
 type Cluster struct {
 	margins []int // distinct margins, descending
-	total   map[int]int
+	total   []int // node count per group, aligned with margins
 }
 
 // NewCluster builds a cluster from margin -> node-count.
 func NewCluster(counts map[int]int) *Cluster {
-	c := &Cluster{total: make(map[int]int)}
-	for m, n := range counts {
+	var keys []int
+	for m := range counts {
+		keys = append(keys, m)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(keys)))
+	c := &Cluster{}
+	for _, m := range keys {
+		n := counts[m]
 		if n < 0 {
 			panic(fmt.Sprintf("hpc: negative node count for margin %d", m))
 		}
@@ -28,12 +33,11 @@ func NewCluster(counts map[int]int) *Cluster {
 			continue
 		}
 		c.margins = append(c.margins, m)
-		c.total[m] = n
+		c.total = append(c.total, n)
 	}
 	if len(c.margins) == 0 {
 		panic("hpc: empty cluster")
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(c.margins)))
 	return c
 }
 
@@ -101,26 +105,24 @@ func (r *Result) finalize() {
 	r.P95WaitS = stats.Percentile(waits, 95)
 }
 
-// running is the completion min-heap.
+// running is one started job. The running set is a slice ordered by
+// (endS, start order): start inserts by binary search after every job
+// with an equal or earlier end, so the front is always the next
+// completion, and jobs that end at the same instant complete — and count
+// toward the backfill shadow — in the order they started.
 type running struct {
 	endS  float64
-	alloc map[int]int // margin -> node count
+	alloc []int // nodes taken per group, aligned with Cluster.margins
 	job   *Job
-	min   int
 }
 
-type runHeap []*running
-
-func (h runHeap) Len() int            { return len(h) }
-func (h runHeap) Less(i, j int) bool  { return h[i].endS < h[j].endS }
-func (h runHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x interface{}) { *h = append(*h, x.(*running)) }
-func (h *runHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// insertRunning adds r to the end-time-ordered running set.
+func insertRunning(run []running, r running) []running {
+	i := sort.Search(len(run), func(i int) bool { return run[i].endS > r.endS })
+	run = append(run, running{})
+	copy(run[i+1:], run[i:])
+	run[i] = r
+	return run
 }
 
 // Simulate runs the trace through the scheduler and returns per-job
@@ -147,15 +149,10 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	queueHist := reg.Histogram(scope+"/sched/queue_depth",
 		[]int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	rng := xrand.New(seed)
-	free := make(map[int]int, len(cluster.total))
-	for m, n := range cluster.total {
-		free[m] = n
-	}
+	free := append([]int(nil), cluster.total...)
 	freeTotal := cluster.Nodes()
 
-	var run runHeap
-	heap.Init(&run)
-	var shadowBuf []*running // reused by every backfill shadow computation
+	var run []running // ordered by (endS, start order)
 	res := &Result{}
 	queue := []*Job{} // FCFS
 	next := 0         // next arrival index
@@ -163,12 +160,12 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 
 	start := func(j *Job, t float64) {
 		alloc, min := allocate(cluster, free, j.Nodes, policy, rng)
-		for m, n := range alloc {
-			free[m] -= n
+		for g, n := range alloc {
+			free[g] -= n
 		}
 		freeTotal -= j.Nodes
 		exec := j.BaseS / model(min, j.Bucket)
-		heap.Push(&run, &running{endS: t + exec, alloc: alloc, job: j, min: min})
+		run = insertRunning(run, running{endS: t + exec, alloc: alloc, job: j})
 		res.Jobs = append(res.Jobs, JobMetrics{
 			JobID: j.ID, WaitS: t - j.SubmitS, ExecS: exec,
 			TurnaroundS: t - j.SubmitS + exec, MinMargin: min,
@@ -187,7 +184,7 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 		// EASY backfill: reserve for the head, let later jobs jump ahead
 		// if they do not delay it (runtimes are known exactly here).
 		head := queue[0]
-		shadowT, freedAtShadow := shadow(run, &shadowBuf, freeTotal, head.Nodes)
+		shadowT, freedAtShadow := shadow(run, freeTotal, head.Nodes)
 		extra := freeTotal + freedAtShadow - head.Nodes
 		for i := 1; i < len(queue) && freeTotal > 0; i++ {
 			j := queue[i]
@@ -211,13 +208,13 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 		}
 	}
 
-	for next < len(tr.Jobs) || run.Len() > 0 {
+	for next < len(tr.Jobs) || len(run) > 0 {
 		// Next event: arrival or completion.
 		var tArr, tEnd float64 = -1, -1
 		if next < len(tr.Jobs) {
 			tArr = tr.Jobs[next].SubmitS
 		}
-		if run.Len() > 0 {
+		if len(run) > 0 {
 			tEnd = run[0].endS
 		}
 		if tArr >= 0 && (tEnd < 0 || tArr <= tEnd) {
@@ -226,9 +223,10 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 			next++
 		} else {
 			now = tEnd
-			done := heap.Pop(&run).(*running)
-			for m, n := range done.alloc {
-				free[m] += n
+			done := run[0]
+			run = run[1:]
+			for g, n := range done.alloc {
+				free[g] += n
 			}
 			freeTotal += done.job.Nodes
 		}
@@ -244,9 +242,9 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	ck.CheckEq(int64(len(res.Jobs)), int64(len(tr.Jobs)), "jobs-completed==jobs-submitted")
 	ck.CheckEq(int64(len(queue)), 0, "queue-drained")
 	ck.CheckEq(int64(freeTotal), int64(cluster.Nodes()), "free-nodes-restored")
-	for _, m := range cluster.margins {
-		ck.Check(free[m] == cluster.total[m], fmt.Sprintf("group-%d-restored", m),
-			"%d free, %d total", free[m], cluster.total[m])
+	for g, m := range cluster.margins {
+		ck.Check(free[g] == cluster.total[g], fmt.Sprintf("group-%d-restored", m),
+			"%d free, %d total", free[g], cluster.total[g])
 	}
 	badWait, badExec := 0, 0
 	for i := range res.Jobs {
@@ -262,60 +260,56 @@ func SimulateObserved(tr *Trace, cluster *Cluster, policy Policy, model SpeedupM
 	return res, ck.Violations()
 }
 
-// shadow computes when the queue head could start (jobs finish in end
-// order until enough nodes are free) and how many nodes will be free then
-// beyond the head's need. buf is caller-owned scratch reused across
-// calls; shadow runs once per scheduling event, so copying and sorting
-// the running set into a fresh slice each time dominated the scheduler's
-// allocations.
-func shadow(run runHeap, buf *[]*running, freeNow, need int) (shadowT float64, freedAtShadow int) {
+// shadow computes when the queue head could start (jobs finish in
+// running-set order until enough nodes are free) and how many nodes will
+// be free then beyond the head's need. It walks only the front of the
+// ordered running set.
+func shadow(run []running, freeNow, need int) (shadowT float64, freedAtShadow int) {
 	if freeNow >= need {
 		return 0, 0
 	}
-	ends := append((*buf)[:0], run...)
-	*buf = ends
-	sort.Slice(ends, func(i, j int) bool { return ends[i].endS < ends[j].endS })
 	acc := freeNow
-	for _, r := range ends {
-		acc += r.job.Nodes
+	for i := range run {
+		acc += run[i].job.Nodes
 		if acc >= need {
-			return r.endS, acc - need
+			return run[i].endS, acc - need
 		}
 	}
 	return 1e18, 0
 }
 
-// allocate picks nodes for a job and returns the per-group allocation and
-// the minimum margin among them (the job's effective speed, §III-D3).
-func allocate(c *Cluster, free map[int]int, need int, policy Policy, rng *xrand.Rand) (map[int]int, int) {
-	alloc := make(map[int]int)
+// allocate picks nodes for a job and returns the per-group allocation
+// (aligned with c.margins) and the minimum margin among them (the job's
+// effective speed, §III-D3).
+func allocate(c *Cluster, free []int, need int, policy Policy, rng *xrand.Rand) ([]int, int) {
+	alloc := make([]int, len(c.margins))
 	min := -1
-	take := func(m, n int) {
+	take := func(g, n int) {
 		if n <= 0 {
 			return
 		}
-		alloc[m] += n
-		if min < 0 || m < min {
+		alloc[g] += n
+		if m := c.margins[g]; min < 0 || m < min {
 			min = m
 		}
 	}
 	switch policy {
 	case PolicyMarginAware:
 		// Fastest single group that fits...
-		for _, m := range c.margins {
-			if free[m] >= need {
-				take(m, need)
+		for g := range c.margins {
+			if free[g] >= need {
+				take(g, need)
 				return alloc, min
 			}
 		}
 		// ...else the fastest `need` free nodes across groups.
 		left := need
-		for _, m := range c.margins {
-			n := free[m]
+		for g := range c.margins {
+			n := free[g]
 			if n > left {
 				n = left
 			}
-			take(m, n)
+			take(g, n)
 			left -= n
 			if left == 0 {
 				break
@@ -326,19 +320,20 @@ func allocate(c *Cluster, free map[int]int, need int, policy Policy, rng *xrand.
 		}
 		return alloc, min
 	default:
-		// Margin-oblivious: draw nodes uniformly from the free pool.
+		// Margin-oblivious: draw nodes uniformly from the free pool,
+		// visiting groups in c.margins order.
 		left := need
 		for left > 0 {
 			freeTotal := 0
-			for _, m := range c.margins {
-				freeTotal += free[m] - alloc[m]
+			for g := range c.margins {
+				freeTotal += free[g] - alloc[g]
 			}
 			if freeTotal < left {
 				panic("hpc: allocate called without enough free nodes")
 			}
 			pick := int(rng.Uint64n(uint64(freeTotal)))
-			for _, m := range c.margins {
-				avail := free[m] - alloc[m]
+			for g := range c.margins {
+				avail := free[g] - alloc[g]
 				if pick < avail {
 					// Take a contiguous chunk from this group to keep the
 					// loop near O(groups).
@@ -346,7 +341,7 @@ func allocate(c *Cluster, free map[int]int, need int, policy Policy, rng *xrand.
 					if chunk > left {
 						chunk = left
 					}
-					take(m, chunk)
+					take(g, chunk)
 					left -= chunk
 					break
 				}
